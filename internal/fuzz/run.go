@@ -12,7 +12,6 @@ import (
 	"github.com/wirsim/wir/internal/oracle"
 	"github.com/wirsim/wir/internal/reuseprof"
 	"github.com/wirsim/wir/internal/stats"
-	"github.com/wirsim/wir/internal/trace"
 )
 
 // RunConfig shapes one fuzz execution.
@@ -25,12 +24,6 @@ type RunConfig struct {
 	Watchdog uint64
 	Chaos    *chaos.Injector
 	Oracle   bool
-	// Parallel enables goroutine-per-SM stepping (bit-identical to serial;
-	// declined automatically when Chaos is set — see gpu.SetParallel).
-	Parallel bool
-	// Trace, when non-nil, receives the run's pipeline events (determinism
-	// conformance captures both modes' streams through this).
-	Trace trace.Sink
 }
 
 // Result is everything one execution produced; Check evaluates it against
@@ -82,10 +75,6 @@ func Execute(o Options, rc RunConfig) (*Result, error) {
 	if rc.Chaos != nil {
 		g.SetChaos(rc.Chaos)
 	}
-	if rc.Trace != nil {
-		g.SetTracer(rc.Trace)
-	}
-	g.SetParallel(rc.Parallel)
 	rp := g.NewReuseProf()
 	g.SetReuseProf(rp)
 

@@ -70,11 +70,7 @@ type GPU struct {
 	rp      *reuseprof.Collector
 
 	launchHook  func(l *Launch, infos []sm.BlockInfo)
-	chaos       *chaos.Injector
 	launchAudit bool
-
-	parallel    bool // goroutine-per-SM stepping requested (see SetParallel)
-	profiled    bool // a profile hook is attached (forces serial stepping)
 	eventDriven bool // quiet-SM skipping + whole-GPU fast-forward (see SetEventDriven)
 }
 
@@ -101,11 +97,10 @@ func (g *GPU) Config() *config.Config { return &g.cfg }
 // and writes, constant/texture segments).
 func (g *GPU) Mem() *mem.System { return g.ms }
 
-// SetProfileHook installs a per-instruction observation hook on every SM.
-// While a hook is attached, Run steps serially even when SetParallel is on:
-// the hook observes issue-time state from every SM through one callback.
+// SetProfileHook installs a per-instruction observation hook on every SM
+// (nil detaches). The hook observes issue-time state from every SM through
+// one callback.
 func (g *GPU) SetProfileHook(h sm.ProfileHook) {
-	g.profiled = h != nil
 	for _, s := range g.sms {
 		s.Hook = h
 	}
@@ -148,7 +143,6 @@ func (g *GPU) SetBlockDoneHook(h sm.BlockDoneHook) {
 // injector shared across SMs draws from one PRNG stream and a fixed seed
 // reproduces the same faults.
 func (g *GPU) SetChaos(inj *chaos.Injector) {
-	g.chaos = inj
 	for _, s := range g.sms {
 		s.SetChaos(inj)
 	}
@@ -212,9 +206,8 @@ func (g *GPU) NewHostProf() *hostprof.Collector {
 // profiler: the Run loop records driver-phase wall time and allocation
 // deltas, and every SM switches to the phase-timed Tick variant. The
 // profiler only reads clocks and counters — simulation outputs are
-// bit-identical with or without it, including under parallel stepping
-// (per-SM accumulators are owned by their SM's goroutine). The collector
-// must have at least NumSMs per-SM slots; use NewHostProf.
+// bit-identical with or without it. The collector must have at least NumSMs
+// per-SM slots; use NewHostProf.
 func (g *GPU) SetHostProf(c *hostprof.Collector) {
 	g.hp = c
 	for i, s := range g.sms {
@@ -239,9 +232,8 @@ func (g *GPU) NewReuseProf() *reuseprof.Collector {
 // profiler: every reuse-buffer lookup outcome is classified into the miss
 // taxonomy, evictions feed the lifetime ledger, and infinite-capacity shadow
 // tables track achievable reuse. The profiler only observes engine decisions —
-// simulation outputs are bit-identical with or without it, including under
-// parallel stepping (each SMProf is written only by its SM's goroutine). The
-// collector must have at least NumSMs per-SM slots; use NewReuseProf.
+// simulation outputs are bit-identical with or without it. The collector must
+// have at least NumSMs per-SM slots; use NewReuseProf.
 func (g *GPU) SetReuseProf(c *reuseprof.Collector) {
 	g.rp = c
 	for i, s := range g.sms {
@@ -384,10 +376,6 @@ func (g *GPU) Run(l *Launch) (uint64, error) {
 	lastRetired := g.totalRetired()
 	lastProgress := g.cycles
 	ed := g.canEventDriven()
-	runner := g.startParallel() // nil: step serially
-	if runner != nil {
-		defer runner.stop()
-	}
 	// Host-profile driver laps: the setup above plus each dispatch sweep is
 	// charged to dispatch, the tick sweep to step, and everything else in the
 	// loop body (sampler, watchdog bookkeeping, end-of-launch work) to
@@ -420,18 +408,14 @@ func (g *GPU) Run(l *Launch) (uint64, error) {
 			g.hp.DriverLap(hostprof.PhaseDispatch)
 		}
 		idle := true
-		if runner != nil {
-			idle = runner.cycle(ed)
-		} else {
-			for _, s := range g.sms {
-				if ed && s.WakeAt() > s.Now()+1 {
-					s.SkipTicks(1)
-				} else {
-					s.Tick()
-				}
-				if !s.Idle() {
-					idle = false
-				}
+		for _, s := range g.sms {
+			if ed && s.WakeAt() > s.Now()+1 {
+				s.SkipTicks(1)
+			} else {
+				s.Tick()
+			}
+			if !s.Idle() {
+				idle = false
 			}
 		}
 		if g.hp != nil {

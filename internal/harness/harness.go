@@ -41,9 +41,6 @@ type Harness struct {
 	SMs int
 	// Progress, when non-nil, receives a line per fresh simulation.
 	Progress func(string)
-	// ParallelSM enables goroutine-per-SM stepping inside each simulation
-	// (bit-identical to serial; see gpu.SetParallel).
-	ParallelSM bool
 	// Dense disables event-driven stepping inside each simulation, forcing
 	// every quiet cycle to be swept densely (bit-identical either way; see
 	// gpu.SetEventDriven).
@@ -228,6 +225,20 @@ func RunKey(abbr string, m config.Model, v *Variant, cfg *config.Config) string 
 	return fmt.Sprintf("%s#%016x", key, ConfigHash(cfg))
 }
 
+// DefaultInterval is wirsim's default sampler cadence in cycles.
+const DefaultInterval = 1000
+
+// IntervalKey extends a run key with the cadence of the run's interval
+// series when that is neither absent (0) nor DefaultInterval. The cadence
+// shapes the series, so runs sampled at different cadences must not share a
+// content address; default-cadence keys stay exactly as given.
+func IntervalKey(key string, interval uint64) string {
+	if interval == 0 || interval == DefaultInterval {
+		return key
+	}
+	return fmt.Sprintf("%s@interval=%d", key, interval)
+}
+
 // KeyHash collapses a full cache key to its canonical 16-hex-digit content
 // address: the FNV-64a hash of the whole key string. This is the token the
 // wirserve store uses as a filename and the config_hash field of wir-stats/1
@@ -249,7 +260,6 @@ func (h *Harness) simulate(key, abbr string, m config.Model, cfg config.Config) 
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", key, err)
 	}
-	g.SetParallel(h.ParallelSM)
 	g.SetEventDriven(!h.Dense)
 	var hp *hostprof.Collector
 	if h.HostProf != nil {

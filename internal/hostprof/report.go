@@ -65,13 +65,13 @@ type Report struct {
 	Runs      uint64  `json:"runs"`
 	RunWallMS float64 `json:"run_wall_ms"`
 
-	// Driver is the driver-goroutine partition of the run loop; its phases'
-	// wall times sum to RunWallMS (exactly, up to clock resolution).
+	// Driver is the partition of the run loop; its phases' wall times sum to
+	// RunWallMS (exactly, up to clock resolution).
 	Driver []PhaseReport `json:"driver"`
 
 	// SMs breaks the "step" driver phase down per SM and carries the
-	// quiescence counters. In parallel stepping SM wall times overlap, so
-	// their sum may exceed the step phase.
+	// quiescence counters. Their wall times fit inside the step phase (up to
+	// clock resolution).
 	SMs []SMReport `json:"sms"`
 
 	Quiescence Quiescence `json:"quiescence"`

@@ -558,6 +558,9 @@ func (p *parser) addr(line int, s string) (isa.Reg, int32, error) {
 		return isa.RegNone, 0, p.errf(line, "address %q must be bracketed, like [r3] or [r3+64]", s)
 	}
 	inner := strings.TrimSpace(s[1 : len(s)-1])
+	if inner == "" {
+		return isa.RegNone, 0, p.errf(line, "address %q has no base register", s)
+	}
 	off := int32(0)
 	if i := strings.IndexAny(inner[1:], "+-"); i >= 0 {
 		i++

@@ -7,11 +7,9 @@ import (
 	"github.com/wirsim/wir/internal/isa"
 )
 
-// TestParseMatchesBuilder assembles a kernel from text and from the
-// programmatic Builder and requires identical code, register counts and
-// reconvergence points.
-func TestParseMatchesBuilder(t *testing.T) {
-	src := `
+// saxpySrc is a loop kernel exercising labels, memory offsets and a
+// backward conditional branch.
+const saxpySrc = `
 	// saxpy-with-a-loop: out[i] = 2*in[i] + 1 for i in [0, 8)
 	.shared 64
 	        movi  r0, #0          ; i
@@ -25,7 +23,52 @@ func TestParseMatchesBuilder(t *testing.T) {
 	        bra   p0, loop
 	        exit
 `
-	got, err := Parse("saxpy", src)
+
+// roundTripSrc exercises special registers, forward branches, a float
+// immediate, select and a barrier.
+const roundTripSrc = `
+	        s2r   r0, %ctaid.x
+	        s2r   r1, %ntid.x
+	        s2r   r2, %tid.x
+	        imad  r3, r0, r1, r2
+	        isetp.ge p1, r3, #16
+	        bra   !p1, small
+	        jmp   done
+	small:  movf  r4, #3.5
+	        fmul  r4, r4, r4
+	        sel   r5, r4, r3, p1
+	done:   bar
+	        exit
+`
+
+// parseErrorCases are malformed programs with the diagnostic each must
+// produce.
+var parseErrorCases = []struct {
+	name, src, want string
+}{
+	{"empty", "\n// nothing\n", "empty program"},
+	{"no-exit", "movi r0, #1", "must end with Exit"},
+	{"bad-op", "frobnicate r0, r1\nexit", `unknown opcode "frobnicate"`},
+	{"bad-reg", "movi r99, #1\nexit", "out of range"},
+	{"bad-pred", "isetp.lt p9, r0, #1\nexit", "out of range"},
+	{"not-a-pred", "sel r0, r1, r2, r3\nexit", "bad predicate"},
+	{"bad-label", "jmp nowhere\nexit", `unknown label "nowhere"`},
+	{"dup-label", "a: movi r0, #1\na: exit", `label "a" defined twice`},
+	{"bad-imm", "movi r0, #zork\nexit", "bad integer immediate"},
+	{"bad-space", "ld.l33t r0, [r1]\nexit", "bad address space"},
+	{"bad-cond", "isetp.zz p0, r0, #1\nexit", "bad comparison suffix"},
+	{"store-ro", "st.const [r0], r1\nexit", "read-only"},
+	{"uncond-bra", "bra top\ntop: exit", "unconditional branch is jmp"},
+	{"trailing-label", "movi r0, #1\nexit\nend:", "past the end"},
+	{"bad-addr", "ld.global r0, r1\nexit", "must be bracketed"},
+	{"bad-directive", ".align 8\nexit", "unknown directive"},
+}
+
+// TestParseMatchesBuilder assembles a kernel from text and from the
+// programmatic Builder and requires identical code, register counts and
+// reconvergence points.
+func TestParseMatchesBuilder(t *testing.T) {
+	got, err := Parse("saxpy", saxpySrc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -64,21 +107,7 @@ func TestParseMatchesBuilder(t *testing.T) {
 
 // TestParseRoundTripsDisassembly reparses a kernel's own listing lines.
 func TestParseRoundTrips(t *testing.T) {
-	src := `
-	        s2r   r0, %ctaid.x
-	        s2r   r1, %ntid.x
-	        s2r   r2, %tid.x
-	        imad  r3, r0, r1, r2
-	        isetp.ge p1, r3, #16
-	        bra   !p1, small
-	        jmp   done
-	small:  movf  r4, #3.5
-	        fmul  r4, r4, r4
-	        sel   r5, r4, r3, p1
-	done:   bar
-	        exit
-`
-	k, err := Parse("rt", src)
+	k, err := Parse("rt", roundTripSrc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -119,27 +148,7 @@ func TestParseRoundTrips(t *testing.T) {
 // TestParseErrors checks that malformed programs fail with line-numbered
 // diagnostics rather than panicking or silently mis-assembling.
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"empty", "\n// nothing\n", "empty program"},
-		{"no-exit", "movi r0, #1", "must end with Exit"},
-		{"bad-op", "frobnicate r0, r1\nexit", `unknown opcode "frobnicate"`},
-		{"bad-reg", "movi r99, #1\nexit", "out of range"},
-		{"bad-pred", "isetp.lt p9, r0, #1\nexit", "out of range"},
-		{"not-a-pred", "sel r0, r1, r2, r3\nexit", "bad predicate"},
-		{"bad-label", "jmp nowhere\nexit", `unknown label "nowhere"`},
-		{"dup-label", "a: movi r0, #1\na: exit", `label "a" defined twice`},
-		{"bad-imm", "movi r0, #zork\nexit", "bad integer immediate"},
-		{"bad-space", "ld.l33t r0, [r1]\nexit", "bad address space"},
-		{"bad-cond", "isetp.zz p0, r0, #1\nexit", "bad comparison suffix"},
-		{"store-ro", "st.const [r0], r1\nexit", "read-only"},
-		{"uncond-bra", "bra top\ntop: exit", "unconditional branch is jmp"},
-		{"trailing-label", "movi r0, #1\nexit\nend:", "past the end"},
-		{"bad-addr", "ld.global r0, r1\nexit", "must be bracketed"},
-		{"bad-directive", ".align 8\nexit", "unknown directive"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Parse(c.name, c.src)
 			if err == nil {
@@ -167,4 +176,36 @@ func TestParseOffsets(t *testing.T) {
 	if _, err := Parse("both", "ld.global r0, [r1+8], #8\nexit"); err == nil || !strings.Contains(err.Error(), "both") {
 		t.Fatalf("double offset accepted or wrong error: %v", err)
 	}
+}
+
+// FuzzParse holds Parse to its contract on arbitrary source text, the input
+// wirserve accepts from clients: it never panics, and a program it accepts
+// has every branch target and reconvergence point inside its code. Plain
+// go test runs only the seeds; go test -fuzz FuzzParse explores.
+func FuzzParse(f *testing.F) {
+	f.Add(saxpySrc)
+	f.Add(roundTripSrc)
+	for _, c := range parseErrorCases {
+		f.Add(c.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		k, err := Parse("fuzz", src)
+		if err != nil {
+			return
+		}
+		n := len(k.Code)
+		for pc, in := range k.Code {
+			switch in.Op {
+			case isa.OpBra:
+				if in.Join < 0 || in.Join >= n {
+					t.Errorf("pc %d: join %d outside [0,%d)", pc, in.Join, n)
+				}
+				fallthrough
+			case isa.OpJmp:
+				if in.Target < 0 || in.Target >= n {
+					t.Errorf("pc %d: target %d outside [0,%d)", pc, in.Target, n)
+				}
+			}
+		}
+	})
 }

@@ -7,8 +7,7 @@
 // kernel and per PC.
 //
 // The design mirrors internal/hostprof: one SMProf per SM, written only by
-// the goroutine that owns the SM (the SM's worker under goroutine-per-SM
-// parallel stepping, the driver otherwise), plain fields, no locks. Every
+// the SM that owns it, plain fields, no locks. Every
 // hook is gated behind a single nil check in the engine/SM hot paths, so an
 // unprofiled simulation pays one pointer test per event and nothing else.
 // All recording is purely observational — architectural state, replacement
@@ -198,12 +197,9 @@ func looseOf(t reuse.Tag) reuse.Tag {
 }
 
 // SMProf accumulates the reuse-decision telemetry of one SM. All fields are
-// written only by the goroutine driving the SM (dispatch-time table
-// resolution happens on the driver goroutine, strictly serialized against SM
-// ticks by the parallel runner), so there is no synchronization — the same
-// ownership discipline as hostprof.SMProf, and the reason this profiler is
-// legal under goroutine-per-SM parallel stepping where the shared-map attr
-// collector is not.
+// written only on behalf of that SM (its ticks and the dispatch-time table
+// resolution of its blocks), so there is no synchronization — the same
+// ownership discipline as hostprof.SMProf.
 type SMProf struct {
 	ID int
 

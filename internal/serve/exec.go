@@ -10,6 +10,7 @@ import (
 	"github.com/wirsim/wir/internal/config"
 	"github.com/wirsim/wir/internal/energy"
 	"github.com/wirsim/wir/internal/gpu"
+	"github.com/wirsim/wir/internal/harness"
 	"github.com/wirsim/wir/internal/metrics"
 	"github.com/wirsim/wir/internal/perfetto"
 	"github.com/wirsim/wir/internal/trace"
@@ -69,7 +70,6 @@ func ExecuteSim(spec *RunSpec, reg *metrics.Registry) (map[string][]byte, uint64
 	if err != nil {
 		return nil, 0, err
 	}
-	g.SetParallel(false)
 	g.SetEventDriven(true)
 
 	if reg == nil {
@@ -79,7 +79,7 @@ func ExecuteSim(spec *RunSpec, reg *metrics.Registry) (map[string][]byte, uint64
 	g.SetInstruments(ins)
 	interval := spec.Interval
 	if interval == 0 {
-		interval = 1000 // wirsim's -metrics default cadence
+		interval = harness.DefaultInterval
 	}
 	sampler := metrics.NewSampler(interval)
 	sampler.Registry = reg

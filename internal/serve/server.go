@@ -241,7 +241,7 @@ func New(opts Options) (*Server, error) {
 		opts.QueueDepth = 256
 	}
 	if opts.Interval == 0 {
-		opts.Interval = 1000
+		opts.Interval = harness.DefaultInterval
 	}
 	if opts.StoreDir == "" {
 		return nil, errors.New("serve: Options.StoreDir is required")
@@ -453,7 +453,7 @@ func (s *Server) resolve(req JobRequest) (*Job, *APIError) {
 		if err != nil {
 			return nil, usage("%v", err)
 		}
-		j.key = harness.RunKey(bm.Abbr, m, nil, &cfg)
+		j.key = harness.IntervalKey(harness.RunKey(bm.Abbr, m, nil, &cfg), interval)
 		j.token = harness.KeyHash(j.key)
 		j.spec = &RunSpec{Benchmark: bm.Abbr, Model: m, Cfg: cfg, Token: j.token, Interval: interval, Setup: bm.Setup}
 	case "kasm":
@@ -474,7 +474,7 @@ func (s *Server) resolve(req JobRequest) (*Job, *APIError) {
 		if err != nil {
 			return nil, usage("%v", err)
 		}
-		j.key = kasmKey(ks.Name, m, &cfg, &ks)
+		j.key = harness.IntervalKey(kasmKey(ks.Name, m, &cfg, &ks), interval)
 		j.token = harness.KeyHash(j.key)
 		launch := gpu.Launch{Kernel: k, GridX: ks.GridX, GridY: ks.GridY, GridZ: ks.GridZ,
 			DimX: ks.DimX, DimY: ks.DimY, DimZ: ks.DimZ}

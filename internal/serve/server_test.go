@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"github.com/wirsim/wir/internal/config"
+	"github.com/wirsim/wir/internal/harness"
+	"github.com/wirsim/wir/internal/mem"
 )
 
 // tinyKasm is a four-instruction kernel: cheap enough that server tests
@@ -386,5 +388,68 @@ func TestSweepExecStore(t *testing.T) {
 	j2, _ := json.Marshal(r2)
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("store round-trip changed the result:\n%s\n---\n%s", j1, j2)
+	}
+}
+
+// TestIntervalIsPartOfTheKey submits the same run at the default cadence and
+// then at interval 100. The sampler cadence shapes intervals.jsonl, so the
+// second job must simulate afresh and serve wirsim's 100-cycle series (a
+// header line plus one line per started interval), not the stored
+// 1000-cycle one. The default-cadence token stays the plain run key's hash,
+// the config_hash wirsim reports for that run.
+func TestIntervalIsPartOfTheKey(t *testing.T) {
+	_, ts := newTestServer(t, func(o *Options) { o.SMs = 2; o.Interval = 0 })
+	intervalLines := func(v JobView) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/artifacts/" + ArtIntervals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v", ArtIntervals, resp.StatusCode, err)
+		}
+		return bytes.Count(data, []byte("\n"))
+	}
+	submit := func(body string) JobView {
+		t.Helper()
+		resp, data := postJob(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("status %d, body %s", resp.StatusCode, data)
+		}
+		var v JobView
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Fatal(err)
+		}
+		return waitJob(t, ts, v.ID)
+	}
+	wantLines := func(cycles, interval uint64) int {
+		return 1 + int((cycles+interval-1)/interval)
+	}
+
+	def := submit(`{"kind":"run","bench":"DW","sms":2}`)
+	if def.State != StateDone || def.Hit {
+		t.Fatalf("default cadence: state=%s hit=%v err=%+v", def.State, def.Hit, def.Err)
+	}
+	cfg := config.Default(config.RLPV)
+	cfg.NumSMs = 2
+	cfg.WatchdogCycles = mem.AutoWatchdog(&cfg)
+	if want := harness.KeyHash(harness.RunKey("DW", config.RLPV, nil, &cfg)); def.Hash != want {
+		t.Errorf("default-cadence token %s, want the plain run key hash %s", def.Hash, want)
+	}
+	if got, want := intervalLines(def), wantLines(def.Cycles, harness.DefaultInterval); got != want {
+		t.Errorf("default cadence: %d interval lines, want %d", got, want)
+	}
+
+	fine := submit(`{"kind":"run","bench":"DW","sms":2,"interval":100}`)
+	if fine.State != StateDone || fine.Hit {
+		t.Fatalf("interval 100: state=%s hit=%v err=%+v, want a fresh simulation", fine.State, fine.Hit, fine.Err)
+	}
+	if fine.Hash == def.Hash {
+		t.Errorf("interval 100 shares the default-cadence token %s", def.Hash)
+	}
+	if got, want := intervalLines(fine), wantLines(fine.Cycles, 100); got != want {
+		t.Errorf("interval 100: %d interval lines, want %d", got, want)
 	}
 }

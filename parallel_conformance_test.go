@@ -1,106 +1,49 @@
-// Determinism conformance suite: parallel execution — goroutine-per-SM
-// stepping inside one run, and the concurrent harness sweep across runs —
-// must be bit-identical to serial execution. Every comparison below is exact:
-// wir-stats/1 counters compare with struct equality, wir-trace/1 streams
-// byte-for-byte as emitted JSONL, energy totals as float equality on every
-// component, and output images word-for-word.
+// Determinism conformance: parallelism across runs — the sweep-level worker
+// pool (-j N) runs independent simulations on separate goroutines — must be
+// bit-identical to serial execution. Each simulation steps its SMs serially;
+// what the suites below hold is that no GPU shares mutable state with
+// another, so a run's artifacts do not depend on what runs beside it.
 //
 // The full suite covers every benchmark of the paper's evaluation plus ≥50
 // fuzz seeds on Base and RLPV; testing.Short() trims both dimensions so the
-// CI race pass (`go test -race -short ./...`) still exercises each layer.
+// CI race pass (`go test -race -short ./...`) still watches concurrent runs.
 package wir_test
 
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	wir "github.com/wirsim/wir"
 	"github.com/wirsim/wir/internal/bench"
 	"github.com/wirsim/wir/internal/fuzz"
 	"github.com/wirsim/wir/internal/harness"
-	"github.com/wirsim/wir/internal/trace"
 )
 
-// confRun executes one suite benchmark serially or in parallel and returns
-// every observable artifact the determinism contract covers.
-type confResult struct {
-	cycles uint64
-	stats  wir.Stats
-	energy wir.EnergyBreakdown
-	trace  []byte
-	output []uint32
+// replicas is how many copies of a run execute side by side; the first is
+// the reference the others must reproduce.
+const replicas = 2
+
+// concurrently runs replicas copies of run at once, each on its own
+// goroutine, and returns their results and errors in replica order.
+func concurrently[R any](run func() (R, error)) ([]R, []error) {
+	res := make([]R, replicas)
+	errs := make([]error, replicas)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], errs[i] = run()
+		}(i)
+	}
+	wg.Wait()
+	return res, errs
 }
 
-func confRun(t *testing.T, abbr string, m wir.Model, parallel bool) confResult {
-	t.Helper()
-	cfg := wir.DefaultConfig(m)
-	cfg.NumSMs = 4 // >1 so the gate chain is exercised; small so the suite fits CI
-	g, err := wir.NewGPU(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetParallel(parallel)
-	var buf bytes.Buffer
-	jw := trace.NewJSONWriter(&buf)
-	jw.FilterKinds(trace.KindRetire, trace.KindBypass, trace.KindBarrier)
-	g.SetTracer(jw)
-	bm, err := bench.ByAbbr(abbr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := bm.Setup(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycles, err := w.Run(g)
-	if err != nil {
-		t.Fatalf("%s/%v parallel=%v: %v", abbr, m, parallel, err)
-	}
-	if err := jw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	st := g.Stats()
-	return confResult{
-		cycles: cycles,
-		stats:  st,
-		energy: wir.Energy(cfg, &st),
-		trace:  buf.Bytes(),
-		output: g.Mem().Snapshot(w.OutBase, w.OutWords),
-	}
-}
-
-func compareConf(t *testing.T, name string, serial, parallel confResult) {
-	t.Helper()
-	if serial.cycles != parallel.cycles {
-		t.Errorf("%s: cycles diverge: serial %d, parallel %d", name, serial.cycles, parallel.cycles)
-	}
-	if serial.stats != parallel.stats {
-		t.Errorf("%s: wir-stats/1 counters diverge:\nserial:   %+v\nparallel: %+v", name, serial.stats, parallel.stats)
-	}
-	if serial.energy != parallel.energy {
-		t.Errorf("%s: energy totals diverge:\nserial:   %+v\nparallel: %+v", name, serial.energy, parallel.energy)
-	}
-	if !bytes.Equal(serial.trace, parallel.trace) {
-		t.Errorf("%s: wir-trace/1 streams are not byte-identical (%d vs %d bytes)",
-			name, len(serial.trace), len(parallel.trace))
-	}
-	if len(serial.output) != len(parallel.output) {
-		t.Fatalf("%s: output lengths diverge", name)
-	}
-	for i := range serial.output {
-		if serial.output[i] != parallel.output[i] {
-			t.Errorf("%s: out[%d] = %#x serial, %#x parallel", name, i, serial.output[i], parallel.output[i])
-			break
-		}
-	}
-}
-
-// conformanceModels is both machine models the contract covers.
-var conformanceModels = []wir.Model{wir.Base, wir.RLPV}
-
-// TestParallelConformanceSuite holds goroutine-per-SM stepping bit-identical
-// to serial stepping on the benchmark suite.
+// TestParallelConformanceSuite holds concurrently running replicas of each
+// benchmark bit-identical to one another.
 func TestParallelConformanceSuite(t *testing.T) {
 	benches := bench.All()
 	if testing.Short() {
@@ -115,22 +58,31 @@ func TestParallelConformanceSuite(t *testing.T) {
 		}
 		benches = trimmed
 	}
+	serial := func(*wir.GPU) {}
 	for _, b := range benches {
 		for _, m := range conformanceModels {
 			b, m := b, m
 			t.Run(fmt.Sprintf("%s/%v", b.Abbr, m), func(t *testing.T) {
 				t.Parallel()
-				serial := confRun(t, b.Abbr, m, false)
-				par := confRun(t, b.Abbr, m, true)
-				compareConf(t, b.Abbr, serial, par)
+				got, errs := concurrently(func() (confResult, error) {
+					return confExec(b.Abbr, m, serial)
+				})
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("replica %d: %v", i, err)
+					}
+				}
+				for i := 1; i < replicas; i++ {
+					compareConf(t, fmt.Sprintf("%s/replica%d", b.Abbr, i), got[0], got[i])
+				}
 			})
 		}
 	}
 }
 
-// TestParallelConformanceFuzz replays ≥50 generated programs through both
-// stepping modes on both models and demands identical artifacts, including
-// the recorded retire streams.
+// TestParallelConformanceFuzz replays ≥50 generated programs on both models
+// as concurrent replicas under the golden-model oracle, and demands clean,
+// identical cycles, counters and output images from every replica.
 func TestParallelConformanceFuzz(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -143,66 +95,51 @@ func TestParallelConformanceFuzz(t *testing.T) {
 				t.Parallel()
 				o := fuzz.DefaultOptions(seed)
 				o.WithShared = seed%2 == 1
-				serial := fuzzConfRun(t, o, m, false)
-				par := fuzzConfRun(t, o, m, true)
-				if serial.res.Cycles != par.res.Cycles {
-					t.Errorf("cycles diverge: serial %d, parallel %d", serial.res.Cycles, par.res.Cycles)
-				}
-				if serial.res.Stats != par.res.Stats {
-					t.Errorf("stats diverge:\nserial:   %+v\nparallel: %+v", serial.res.Stats, par.res.Stats)
-				}
-				if !bytes.Equal(serial.trace, par.trace) {
-					t.Errorf("wir-trace/1 streams are not byte-identical (%d vs %d bytes)",
-						len(serial.trace), len(par.trace))
-				}
-				if len(serial.res.Output) != len(par.res.Output) {
-					t.Fatal("output lengths diverge")
-				}
-				for i := range serial.res.Output {
-					if serial.res.Output[i] != par.res.Output[i] {
-						t.Errorf("out[%d] = %#x serial, %#x parallel", i, serial.res.Output[i], par.res.Output[i])
-						break
+				rc := fuzz.RunConfig{Model: m, NumSMs: 4, Oracle: true}
+				got, errs := concurrently(func() (*fuzz.Result, error) {
+					return fuzz.Execute(o, rc)
+				})
+				for i, res := range got {
+					if errs[i] != nil {
+						t.Fatalf("replica %d: %v", i, errs[i])
+					}
+					if res.RunErr != nil {
+						t.Fatalf("seed %d replica %d: %v", seed, i, res.RunErr)
 					}
 				}
-				if err := fuzz.Check(serial.res, nil, nil); err != nil {
-					t.Errorf("serial run not clean: %v", err)
+				ref := got[0]
+				if err := fuzz.Check(ref, nil, nil); err != nil {
+					t.Errorf("replica 0 not clean: %v", err)
 				}
-				if err := fuzz.Check(par.res, nil, nil); err != nil {
-					t.Errorf("parallel run not clean: %v", err)
+				for i := 1; i < replicas; i++ {
+					res := got[i]
+					if ref.Cycles != res.Cycles {
+						t.Errorf("replica %d: cycles diverge: want %d, got %d", i, ref.Cycles, res.Cycles)
+					}
+					if ref.Stats != res.Stats {
+						t.Errorf("replica %d: stats diverge:\nwant: %+v\ngot:  %+v", i, ref.Stats, res.Stats)
+					}
+					if len(ref.Output) != len(res.Output) {
+						t.Fatalf("replica %d: output lengths diverge", i)
+					}
+					for j := range ref.Output {
+						if ref.Output[j] != res.Output[j] {
+							t.Errorf("replica %d: out[%d] = %#x want, %#x got", i, j, ref.Output[j], res.Output[j])
+							break
+						}
+					}
+					if err := fuzz.Check(res, ref.Output, nil); err != nil {
+						t.Errorf("replica %d not clean: %v", i, err)
+					}
 				}
 			})
 		}
 	}
 }
 
-type fuzzConf struct {
-	res   *fuzz.Result
-	trace []byte
-}
-
-func fuzzConfRun(t *testing.T, o fuzz.Options, m wir.Model, parallel bool) fuzzConf {
-	t.Helper()
-	var buf bytes.Buffer
-	jw := trace.NewJSONWriter(&buf)
-	jw.FilterKinds(trace.KindRetire, trace.KindBypass, trace.KindBarrier)
-	res, err := fuzz.Execute(o, fuzz.RunConfig{
-		Model: m, NumSMs: 4, Oracle: true, Parallel: parallel, Trace: jw,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RunErr != nil {
-		t.Fatalf("seed %d parallel=%v: %v", o.Seed, parallel, res.RunErr)
-	}
-	if err := jw.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return fuzzConf{res: res, trace: buf.Bytes()}
-}
-
 // TestHarnessParallelismDeterminism holds the sweep-level worker pool to the
-// same contract: a harness running on 8 workers produces the same results —
-// and the same rendered report — as a serial one.
+// determinism contract: a harness running on 8 workers produces the same
+// results — and the same rendered report — as a serial one.
 func TestHarnessParallelismDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered unabridged in the non-short pass")

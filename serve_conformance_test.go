@@ -66,13 +66,14 @@ func localWirsimArtifacts(t *testing.T) (map[string][]byte, string) {
 	cfg := config.Default(m)
 	cfg.NumSMs = serveConfSMs
 	cfg.WatchdogCycles = mem.AutoWatchdog(&cfg)
-	token := harness.KeyHash(harness.RunKey(bm.Abbr, m, nil, &cfg))
+	// wirsim's config_hash: the run key, extended with the sampler cadence
+	// because it is not the default one.
+	token := harness.KeyHash(harness.IntervalKey(harness.RunKey(bm.Abbr, m, nil, &cfg), serveConfInterval))
 
 	g, err := gpu.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetParallel(false) // wirsim: -stats json forces serial stepping
 	g.SetEventDriven(true)
 
 	reg := metrics.NewRegistry()
